@@ -14,13 +14,15 @@ from typing import Dict, List, Sequence
 
 import pytest
 
-#: Machine-readable speedup summary emitted by the backend benchmarks
-#: (one file per PR, merged key-by-key so each benchmark owns its entry).
-BENCH_FILE = Path(__file__).resolve().parents[1] / "BENCH_9.json"
+#: Machine-readable speedup summary emitted by the backend benchmarks,
+#: merged key-by-key so each benchmark owns its entry.  One file per
+#: performance change: earlier ``BENCH_<n>.json`` records stay as they
+#: were measured, so point this at a new file rather than rewriting one.
+BENCH_FILE = Path(__file__).resolve().parents[1] / "BENCH_12.json"
 
 
 def record_bench(key: str, payload: Dict) -> None:
-    """Merge one benchmark's speedup summary into ``BENCH_9.json``."""
+    """Merge one benchmark's speedup summary into :data:`BENCH_FILE`."""
     data = {}
     if BENCH_FILE.exists():
         try:

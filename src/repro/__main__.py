@@ -294,6 +294,25 @@ def cmd_electrothermal(args) -> int:
     return 0
 
 
+def _check_soc_noise_args(args) -> None:
+    """Reject bad ``soc-noise`` flags before the clock period is taken."""
+    from .robust.validate import check_positive
+    check_positive("--frequency", args.frequency)
+
+
+def _check_electrothermal_args(args) -> None:
+    """Reject bad ``electrothermal`` flags before the R_th grid is built.
+
+    The sweep runs from ``--rth-min`` up to ``--rth-max``; an inverted
+    range is refused rather than swept backwards.
+    """
+    from .robust.validate import check_count, check_positive, check_range
+    check_positive("--rth-min", args.rth_min)
+    check_range("--rth-max", args.rth_max, args.rth_min, float("inf"))
+    check_count("--rth-points", args.rth_points)
+    check_positive("--frequency", args.frequency)
+
+
 def cmd_figures(_args) -> int:
     index = [
         ("fig01", "subthreshold I(V_GS, V_DS) with DIBL (eq. 1)"),
@@ -445,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
                             default=100_000,
                             help="events per streamed SWAN chunk")
     _add_exec_args(soc_parser)
-    soc_parser.set_defaults(func=cmd_soc_noise)
+    soc_parser.set_defaults(func=cmd_soc_noise,
+                            check_args=_check_soc_noise_args)
 
     backends_parser = sub.add_parser(
         "backends",
@@ -470,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=("oracle", "vectorized"),
                            default=None,
                            help="evaluation path (default: vectorized)")
-    et_parser.set_defaults(func=cmd_electrothermal)
+    et_parser.set_defaults(func=cmd_electrothermal,
+                           check_args=_check_electrothermal_args)
 
     sub.add_parser("figures", help="index of figure benchmarks"
                    ).set_defaults(func=cmd_figures)
@@ -482,12 +503,21 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     Model-boundary failures (:class:`~repro.robust.ReproError`) exit
     with a one-line ``error:`` message and status 1 -- never a
-    traceback.  ``--strict`` additionally promotes
+    traceback.  Flags a subcommand validates up front (its
+    ``check_args``) exit the same way with status 2, argparse's usage
+    error status.  ``--strict`` additionally promotes
     :class:`~repro.robust.ReproWarning` (out-of-calibration inputs,
     non-converged sweep points) to errors.
     """
     from .robust import ReproError, ReproWarning
     args = build_parser().parse_args(argv)
+    check_args = getattr(args, "check_args", None)
+    if check_args is not None:
+        try:
+            check_args(args)
+        except ReproError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
     with warnings.catch_warnings():
         if args.strict:
             warnings.simplefilter("error", category=ReproWarning)

@@ -70,6 +70,7 @@ from .circuits import (
 from .metrics import (
     LinearityReport,
     SpectralReport,
+    count_linearity,
     histogram_linearity,
     histogram_linearity_batch,
     spectral_metrics,
@@ -110,7 +111,7 @@ __all__ = [
     "DetectorFrontend", "DetectorFrontendDesign", "FrontendPerformance",
     "MillerOta", "OtaDesign", "OtaPerformance", "SingleStageOta",
     "LinearityReport", "SpectralReport",
-    "histogram_linearity", "histogram_linearity_batch",
+    "count_linearity", "histogram_linearity", "histogram_linearity_batch",
     "spectral_metrics", "spectral_metrics_batch",
     "transfer_linearity", "transfer_linearity_batch",
     "ChainDesign", "ChainSignoff", "ChainSpec",

@@ -56,10 +56,9 @@ from ..variability.pelgrom import (offset_sigma_diff_pair,
 from ..variability.statistical import (MonteCarloSampler, SampledDie,
                                        VariationSpec, check_shard)
 from .circuits import OtaDesign
-from .metrics import (LinearityReport, SpectralReport, histogram_linearity,
-                      histogram_linearity_batch, spectral_metrics,
-                      spectral_metrics_batch, transfer_linearity,
-                      transfer_linearity_batch)
+from .metrics import (LinearityReport, SpectralReport, count_linearity,
+                      spectral_metrics, spectral_metrics_batch,
+                      transfer_linearity, transfer_linearity_batch)
 from .switched_capacitor import ScAmplifier, design_sc_stage
 
 __all__ = [
@@ -216,8 +215,16 @@ class SarAdc:
     ``termination`` the dummy LSB cap (ideal 1) and ``offset`` the
     comparator offset as a fraction of full scale.  Conversion is the
     textbook MSB-first successive approximation: trial threshold
-    ``(settled + w_j) / total`` against the held input.  Like
-    :class:`R2rDac`, fields may carry a leading die axis.
+    ``(settled + w_j) / total`` against the held input
+    ``values + offset``.  Like :class:`R2rDac`, fields may carry a
+    leading die axis.
+
+    The search is evaluated from its :meth:`transition_levels`: a
+    binary decision tree is monotone in its input, so each die's whole
+    transfer is the sorted list of held inputs at which the code steps
+    up, and converting is one ``searchsorted`` per die instead of
+    ``n_bits`` passes over the input.  The levels are the tree's own
+    float thresholds, so the codes are exactly the bit-by-bit search's.
     """
 
     n_bits: int
@@ -243,34 +250,95 @@ class SarAdc:
                    weights=2.0 ** np.arange(n_bits),
                    termination=1.0, offset=0.0)
 
+    def transition_levels(self) -> np.ndarray:
+        """Held inputs at which the code steps up, ``(..., 2**n - 1)``.
+
+        Entry ``c - 1`` is the least level ``M_c`` such that every held
+        input ``h >= M_c`` converts to a code ``>= c``; the levels are
+        non-decreasing, so the code of ``h`` is the number of levels
+        ``<= h``.  A missing code repeats a level.
+
+        Code ``c`` needs ``h >= t`` at every tree node where it takes a
+        1 (its lower bound ``L_c`` is the largest such threshold).  A
+        code above the search result always has such a node with
+        ``h < t`` (where its path leaves the result's), so the search
+        returns the largest ``c`` with ``L_c <= h``, and the suffix
+        minimum ``M_c = min(L_c, ..., L_top)`` sorts that rule without
+        changing it.  The thresholds ``(settled + w_j) / total`` sum
+        ``settled`` in the bit loop's MSB-first order, so every
+        comparison is the bit loop's own.
+        """
+        weights = np.asarray(self.weights, dtype=float)
+        total = weights.sum(axis=-1) + np.asarray(
+            self.termination, dtype=float)
+        lead = np.shape(total)
+        total = np.asarray(total)[..., None]
+        # One column per tree node of the current bit, prefix order.
+        settled = np.zeros(lead + (1,))
+        lower = np.full(lead + (1,), -np.inf)
+        for j in range(self.n_bits - 1, -1, -1):
+            trial = settled + weights[..., j:j + 1]
+            taken = np.maximum(lower, trial / total)
+            settled = np.stack([settled, trial], axis=-1).reshape(
+                lead + (-1,))
+            lower = np.stack([lower, taken], axis=-1).reshape(
+                lead + (-1,))
+        return np.minimum.accumulate(lower[..., :0:-1], axis=-1)[..., ::-1]
+
     def convert(self, values: np.ndarray) -> np.ndarray:
         """SAR-convert input fractions to integer codes.
 
         ``values`` broadcasts against the die axis: a shared 1-D ramp
         against batched weights yields ``(n_dies, n_points)`` codes.
         Out-of-range inputs saturate at code 0 / full scale, as the
-        comparator chain would.
+        comparator chain would.  A held input exactly on a threshold
+        takes the upper code (the comparator's ``>=``).
         """
-        weights = np.asarray(self.weights, dtype=float)
-        batched = weights.ndim > 1
-        total = weights.sum(axis=-1) + np.asarray(
-            self.termination, dtype=float)
-        offset = np.asarray(self.offset, dtype=float)
         values = np.asarray(values, dtype=float)
-        if batched:
+        if np.isnan(values).any():
+            raise ModelDomainError("SAR input values must not be NaN")
+        offset = np.asarray(self.offset, dtype=float)
+        levels = self.transition_levels()
+        if levels.ndim > 1:
             held = values + offset[..., None]
-            total = total[..., None]
+            held = np.broadcast_to(held, levels.shape[:-1]
+                                   + held.shape[-1:])
         else:
             held = values + offset
-        settled = np.zeros_like(held)
-        codes = np.zeros(held.shape, dtype=np.int64)
-        for j in range(self.n_bits - 1, -1, -1):
-            trial = settled + (weights[..., j:j + 1] if batched
-                               else weights[j])
-            keep = held >= trial / total
-            settled = np.where(keep, trial, settled)
-            codes += keep.astype(np.int64) * (1 << j)
-        return codes
+        die_levels = levels.reshape(-1, levels.shape[-1])
+        die_held = held.reshape(len(die_levels), -1)
+        codes = np.empty(die_held.shape, dtype=np.int64)
+        for die, row in enumerate(die_levels):
+            codes[die] = np.searchsorted(row, die_held[die], side="right")
+        return codes.reshape(held.shape)
+
+    def ramp_counts(self, ramp: np.ndarray) -> np.ndarray:
+        """Per-code hit counts of a sorted input ramp, ``(..., 2**n)``.
+
+        Equal to ``np.bincount`` of :meth:`convert` on ``ramp`` per die,
+        without building the code array: ``fl(r + offset)`` is monotone
+        in ``r``, so the held ramp stays sorted and the hits of code
+        ``c`` are the ramp points between transition levels ``c`` and
+        ``c + 1``.
+        """
+        ramp = np.asarray(ramp, dtype=float)
+        if ramp.ndim != 1 or not np.all(ramp[1:] >= ramp[:-1]):
+            raise ModelDomainError(
+                "ramp must be a 1-D non-decreasing input sweep")
+        levels = self.transition_levels()
+        die_levels = levels.reshape(-1, levels.shape[-1])
+        offsets = np.broadcast_to(np.asarray(self.offset, dtype=float),
+                                  levels.shape[:-1]).reshape(-1)
+        # below[:, c] = ramp points converting below code c.
+        below = np.empty((len(die_levels), 2 ** self.n_bits + 1),
+                         dtype=np.int64)
+        below[:, 0] = 0
+        below[:, -1] = ramp.size
+        for die, row in enumerate(die_levels):
+            below[die, 1:-1] = np.searchsorted(ramp + offsets[die], row,
+                                               side="left")
+        return np.diff(below, axis=-1).reshape(
+            levels.shape[:-1] + (2 ** self.n_bits,))
 
 
 def _bit_matrix(n_bits: int) -> np.ndarray:
@@ -471,8 +539,10 @@ class SignalChain:
         * DAC static linearity: DC sweep of all ladder levels
           (:func:`~repro.analog.metrics.transfer_linearity`);
         * ADC static linearity: dense mid-step ramp histogram
-          (:func:`~repro.analog.metrics.histogram_linearity`) --
-          applied to the ADC directly, as a bench ramp would be;
+          (:func:`~repro.analog.metrics.count_linearity` on
+          :meth:`SarAdc.ramp_counts`) -- applied to the ADC directly,
+          as a bench ramp would be; the ramp response is monotone by
+          construction, so the report's ``monotonic`` is True;
         * end-to-end monotonicity: every code through
           DAC -> filter -> ADC;
         * dynamic ENOB/SNDR/SFDR: coherent sine through the full
@@ -488,24 +558,24 @@ class SignalChain:
         batched = np.asarray(self.dac.weights).ndim > 1
 
         dac_levels = self.dac.levels()
-        ramp_codes = self.adc.convert(_midstep_ramp(n_bits,
-                                                    n_ramp_per_code))
+        adc_report = count_linearity(self.adc.ramp_counts(
+            _midstep_ramp(n_bits, n_ramp_per_code)))
         sweep_codes = self.adc.convert(self.through_filter(dac_levels))
         monotonic = np.all(np.diff(sweep_codes, axis=-1) >= 0, axis=-1)
-        sine_in = dac_levels[..., _sine_codes(n_bits, n_fft, cycles,
-                                              amplitude_fraction)]
-        sine_out = self.adc.convert(
-            self.through_filter(sine_in)).astype(float)
+        # The sine drives DAC codes, and the filter and the ADC act on
+        # each sample alone, so its output is the sweep's at those codes.
+        # C order keeps the FFT's summation order, hence its bits.
+        sine_out = sweep_codes[..., _sine_codes(
+            n_bits, n_fft, cycles, amplitude_fraction)].astype(
+                float, order="C")
 
         full_scale = float(2 ** n_bits - 1)
         if batched:
             dac_report = transfer_linearity_batch(dac_levels)
-            adc_report = histogram_linearity_batch(ramp_codes, n_bits)
             spectral = spectral_metrics_batch(sine_out, cycles,
                                               full_scale=full_scale)
         else:
             dac_report = transfer_linearity(dac_levels)
-            adc_report = histogram_linearity(ramp_codes, n_bits)
             spectral = spectral_metrics(sine_out, cycles,
                                         full_scale=full_scale)
         passed = _meets_spec(spec, n_bits, dac_report, adc_report,

@@ -30,18 +30,19 @@ measured LSB are the same dyadic rational, so the quotient is exactly
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
 
 from ..robust.errors import ModelDomainError
-from ..robust.validate import check_count, check_finite, validated
+from ..robust.validate import (check_count, check_finite,
+                               check_non_negative, validated)
 
 __all__ = [
     "LinearityReport", "SpectralReport",
     "transfer_linearity", "transfer_linearity_batch",
-    "histogram_linearity", "histogram_linearity_batch",
+    "histogram_linearity", "histogram_linearity_batch", "count_linearity",
     "spectral_metrics", "spectral_metrics_batch",
 ]
 
@@ -198,6 +199,30 @@ def _ramp_monotonic(codes: np.ndarray) -> np.ndarray:
 
 
 @validated(_result_finite=True)
+def count_linearity(counts: np.ndarray) -> LinearityReport:
+    """ADC DNL/INL from per-code ramp hit counts.
+
+    ``counts`` is one die's ``(2**n,)`` histogram, giving the scalar
+    report (float summaries), or ``(n_dies, 2**n)``, giving per-die
+    arrays.  Counts carry no code order, so ``monotonic`` is True: the
+    caller that knows the ramp response replaces it (a SAR's response
+    to a sorted ramp is non-decreasing by construction).
+    """
+    counts = np.asarray(check_non_negative("counts", counts))
+    if counts.ndim not in (1, 2) or counts.shape[-1] < 4:
+        raise ModelDomainError(
+            "counts must be (n_codes,) or (n_dies, n_codes) with "
+            f"n_codes >= 4, got shape {counts.shape}")
+    report = _histogram_linearity(counts)
+    if counts.ndim == 2:
+        return report
+    return LinearityReport(dnl=report.dnl, inl=report.inl,
+                           dnl_max=float(report.dnl_max),
+                           inl_max=float(report.inl_max),
+                           monotonic=True)
+
+
+@validated(_result_finite=True)
 def histogram_linearity(codes: np.ndarray,
                         n_bits: int = 8) -> LinearityReport:
     """ADC DNL/INL from a ramp histogram (scalar per-die oracle).
@@ -218,12 +243,8 @@ def histogram_linearity(codes: np.ndarray,
         raise ModelDomainError(
             f"ramp codes must lie in [0, 2**{n_bits}), got range "
             f"[{index.min()}, {index.max()}]")
-    counts = np.bincount(index, minlength=2 ** n_bits)
-    report = _histogram_linearity(counts)
-    return LinearityReport(dnl=report.dnl, inl=report.inl,
-                           dnl_max=float(report.dnl_max),
-                           inl_max=float(report.inl_max),
-                           monotonic=bool(_ramp_monotonic(index)))
+    report = count_linearity(np.bincount(index, minlength=2 ** n_bits))
+    return replace(report, monotonic=bool(_ramp_monotonic(index)))
 
 
 @validated(_result_finite=True)
@@ -252,11 +273,8 @@ def histogram_linearity_batch(codes: np.ndarray,
     counts = np.bincount(flat.ravel(),
                          minlength=n_dies * n_codes
                          ).reshape(n_dies, n_codes)
-    report = _histogram_linearity(counts)
-    return LinearityReport(dnl=report.dnl, inl=report.inl,
-                           dnl_max=report.dnl_max,
-                           inl_max=report.inl_max,
-                           monotonic=_ramp_monotonic(index))
+    return replace(count_linearity(counts),
+                   monotonic=_ramp_monotonic(index))
 
 
 # --- coherent-sine spectral metrics ----------------------------------------

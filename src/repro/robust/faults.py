@@ -616,6 +616,10 @@ def default_registry() -> List[ApiSpec]:
                 {"codes": np.stack([ramp_codes_2bit, ramp_codes_2bit]),
                  "n_bits": 2},
                 ("codes", "n_bits")),
+        ApiSpec("analog.metrics.count_linearity",
+                ametrics.count_linearity,
+                {"counts": [3, 4, 4, 2]},
+                ("counts",)),
         ApiSpec("analog.metrics.spectral_metrics",
                 ametrics.spectral_metrics,
                 {"signal": coherent_record, "cycles": 5,

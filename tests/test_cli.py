@@ -257,3 +257,38 @@ class TestElectrothermalCommand:
     def test_unknown_node_fails_cleanly(self, capsys):
         assert main(["electrothermal", "--nodes", "7nm"]) == 1
         assert "7nm" in capsys.readouterr().err
+
+
+class TestArgumentValidation:
+    """Bad flag values are refused before any command arithmetic:
+    one ``error:`` line naming the flag, exit status 2, no traceback."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("soc-noise", "--frequency", "0"), "--frequency"),
+        (("electrothermal", "--rth-min", "0"), "--rth-min"),
+        (("electrothermal", "--rth-min", "50", "--rth-max", "10"),
+         "--rth-max"),
+    ])
+    def test_bad_flag_is_one_line_usage_error(self, argv, flag):
+        result = run_cli(*argv)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error:")
+        assert result.stderr.count("\n") == 1
+        assert flag in result.stderr
+        assert result.stdout == ""
+
+    def test_sharded_soc_noise_checked_too(self, capsys):
+        assert main(["soc-noise", "--frequency=-5e7",
+                     "--shards", "2"]) == 2
+        assert "--frequency" in capsys.readouterr().err
+
+    def test_empty_rth_grid_refused(self, capsys):
+        assert main(["electrothermal", "--rth-points", "0"]) == 2
+        assert "--rth-points" in capsys.readouterr().err
+
+    def test_single_point_range_still_runs(self, capsys):
+        assert main(["electrothermal", "--nodes", "65nm",
+                     "--rth-min", "10", "--rth-max", "10",
+                     "--rth-points", "1", "--gates", "100000"]) == 0
+        assert "65nm" in capsys.readouterr().out
