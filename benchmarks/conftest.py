@@ -18,7 +18,7 @@ import pytest
 #: merged key-by-key so each benchmark owns its entry.  One file per
 #: performance change: earlier ``BENCH_<n>.json`` records stay as they
 #: were measured, so point this at a new file rather than rewriting one.
-BENCH_FILE = Path(__file__).resolve().parents[1] / "BENCH_12.json"
+BENCH_FILE = Path(__file__).resolve().parents[1] / "BENCH_14.json"
 
 
 def record_bench(key: str, payload: Dict) -> None:

@@ -162,9 +162,11 @@ def poison_payload(payload: Any) -> Any:
 
     Deterministic: the first float found in a list-valued entry is
     replaced with NaN; if the payload has no float lists, the first
-    list is truncated instead.  Either corruption must be caught by
-    the workload's ``validate_payload`` -- that is the contract the
-    chaos tests assert.
+    list is truncated instead; if it has no lists, the first string
+    (a packed pass/fail vector) loses its last byte (two hex
+    characters).  Each corruption must be caught by the workload's
+    ``validate_payload`` -- that is the contract the chaos tests
+    assert.
     """
     if not isinstance(payload, dict):
         raise ModelDomainError(
@@ -181,6 +183,10 @@ def poison_payload(payload: Any) -> Any:
         if isinstance(value, list) and value:
             value.pop()
             return poisoned
+    for key, value in poisoned.items():
+        if isinstance(value, str) and value:
+            poisoned[key] = value[:-2]
+            return poisoned
     raise ModelDomainError(
         "payload has no poisonable entries -- workloads must carry "
-        "at least one list of numbers")
+        "at least one list of numbers or packed string")

@@ -119,10 +119,14 @@ def _run_process(workload: ShardWorkload, shard: Shard,
                  timeout_s: Optional[float]) -> Any:
     """One attempt in a fresh worker process.
 
-    A crash is a dead process (non-zero exit), a hang is terminated
-    at ``timeout_s``.  With no timeout armed an injected hang is
-    remapped to a crash -- a test harness must never dead-lock the
-    parent.
+    The parent reads the result pipe *before* it reaps the worker: a
+    payload larger than the pipe buffer blocks the worker in ``send``
+    until the parent drains it, so joining first would turn every
+    large shard into a timeout.  A worker that sends nothing within
+    ``timeout_s`` is terminated (a hang); a pipe that hits EOF with
+    no message is a dead worker (a crash, reported with its exit
+    code).  With no timeout armed an injected hang is remapped to a
+    crash -- a test harness must never dead-lock the parent.
     """
     if fault == "hang" and timeout_s is None:
         fault = "crash"
@@ -135,19 +139,17 @@ def _run_process(workload: ShardWorkload, shard: Shard,
     process.start()
     child_conn.close()
     try:
-        process.join(timeout_s)
-        if process.is_alive():
+        if not parent_conn.poll(timeout_s):
             process.terminate()
             process.join(10.0)
             raise ShardTimeoutError(
                 f"shard {shard.index} [{shard.start}:{shard.stop}] "
                 f"exceeded {timeout_s} s; worker terminated")
-        message = None
-        if parent_conn.poll():
-            try:
-                message = parent_conn.recv()
-            except (EOFError, OSError):
-                message = None  # pipe closed by a dying worker
+        try:
+            message = parent_conn.recv()
+        except (EOFError, OSError):
+            message = None  # pipe closed by a dying worker
+        process.join(timeout_s)
         if message is not None:
             if message[0] == "ok":
                 return message[1]

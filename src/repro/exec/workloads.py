@@ -4,7 +4,8 @@ A :class:`ShardWorkload` binds a batched model entry point to the
 three things the runner needs:
 
 * ``run_shard(start, stop)`` -- evaluate one contiguous slice of the
-  population and return a *JSON payload* (plain lists and scalars:
+  population and return a *JSON payload* (plain lists, scalars and,
+  for pass/fail vectors, one hex string of little-endian packed bits:
   picklable for worker processes, checkpointable, and cacheable);
 * ``validate_payload`` -- reject corrupted worker output (wrong
   length, non-finite values, impossible counts) with a typed
@@ -94,16 +95,39 @@ def _check_floats(name: str, values: Any,
                 f"non-numeric entry {value!r}")
 
 
-def _check_bools(name: str, values: Any, length: int) -> None:
-    if not isinstance(values, list) or len(values) != length:
+def _pack_passed(passed: Any) -> str:
+    """Pass/fail vector -> its bits packed little-endian, as hex text.
+
+    One JSON string at 1/8 byte per unit: picklable, checkpointable
+    and cheap to cache.  :func:`_unpack_passed` is the only reader.
+    """
+    return np.packbits(np.asarray(passed, dtype=bool),
+                       bitorder="little").tobytes().hex()
+
+
+def _unpack_passed(payload: Dict[str, Any]) -> np.ndarray:
+    """The bool vector :func:`_pack_passed` packed into a span-checked
+    payload's ``"passed"``; any text it could not have produced (not a
+    string, wrong length, not hex, set padding bits) raises
+    :class:`PoisonedResultError`."""
+    text, length = payload["passed"], payload["stop"] - payload["start"]
+    n_bytes = -(-length // 8)
+    if not isinstance(text, str) or len(text) != 2 * n_bytes:
         raise PoisonedResultError(
-            f"payload field {name!r} must be a list of {length} "
-            f"booleans")
-    for value in values:
-        if not isinstance(value, bool):
-            raise PoisonedResultError(
-                f"payload field {name!r} contains non-boolean "
-                f"{value!r}")
+            f"payload field 'passed' must be {2 * n_bytes} hex "
+            f"characters ({length} packed booleans)")
+    try:
+        packed = np.frombuffer(bytes.fromhex(text), dtype=np.uint8)
+    except ValueError:
+        packed = None
+    if packed is None or packed.size != n_bytes:
+        raise PoisonedResultError(
+            "payload field 'passed' is not hex text")
+    if length % 8 and packed[-1] >> (length % 8):
+        raise PoisonedResultError(
+            "payload field 'passed' has set padding bits")
+    return np.unpackbits(packed, count=length,
+                         bitorder="little").view(bool)
 
 
 class ShardWorkload:
@@ -189,26 +213,33 @@ class YieldWorkload(ShardWorkload):
             n_dies=self.n_dies, upper_is_fail=self.upper_is_fail,
             shard=(start, stop))
         return {"start": start, "stop": stop,
-                "passed": [bool(ok) for ok in result.passed]}
+                "n_pass": int(result.n_pass),
+                "passed": _pack_passed(result.passed)}
 
     def validate_payload(self, payload: Any, start: int,
                          stop: int) -> None:
-        _require(payload, ("start", "stop", "passed"))
+        _require(payload, ("start", "stop", "n_pass", "passed"))
         _check_span(payload, start, stop)
-        _check_bools("passed", payload["passed"], stop - start)
+        passed = _unpack_passed(payload)
+        n_pass = payload["n_pass"]
+        n_set = int(np.count_nonzero(passed))
+        if isinstance(n_pass, bool) or not isinstance(
+                n_pass, int) or n_pass != n_set:
+            raise PoisonedResultError(
+                f"payload n_pass {n_pass!r} is not the {n_set} set "
+                f"bits of 'passed'")
 
     def merge(self, payloads: List[Dict[str, Any]]) -> Any:
         from ..variability.statistical import YieldResult
         passed = np.concatenate(
-            [np.asarray(p["passed"], dtype=bool) for p in payloads])
+            [_unpack_passed(p) for p in payloads])
         return YieldResult(n_samples=int(passed.size),
                            n_pass=int(np.count_nonzero(passed)),
                            passed=passed)
 
     def pass_counts(self, payload: Dict[str, Any]
                     ) -> Tuple[int, int]:
-        passed = payload["passed"]
-        return (sum(1 for ok in passed if ok), len(passed))
+        return (payload["n_pass"], payload["stop"] - payload["start"])
 
     def partial_statistics(self, payloads: List[Dict[str, Any]]
                            ) -> Dict[str, float]:
@@ -263,7 +294,7 @@ class ChainSignoffWorkload(ShardWorkload):
                          np.asarray(result.adc.inl_max, dtype=float))
         return {
             "start": start, "stop": stop,
-            "passed": [bool(ok) for ok in np.asarray(result.passed)],
+            "passed": _pack_passed(result.passed),
             "enob": [float(v) for v in np.asarray(
                 result.spectral.enob, dtype=float)],
             "dnl_max": [float(v) for v in dnl],
@@ -277,7 +308,7 @@ class ChainSignoffWorkload(ShardWorkload):
                   "inl_max"))
         _check_span(payload, start, stop)
         size = stop - start
-        _check_bools("passed", payload["passed"], size)
+        _unpack_passed(payload)
         _check_floats("enob", payload["enob"], size)
         _check_floats("dnl_max", payload["dnl_max"], size)
         _check_floats("inl_max", payload["inl_max"], size)
@@ -285,7 +316,7 @@ class ChainSignoffWorkload(ShardWorkload):
     def merge(self, payloads: List[Dict[str, Any]]
               ) -> Dict[str, float]:
         passed = np.concatenate(
-            [np.asarray(p["passed"], dtype=bool) for p in payloads])
+            [_unpack_passed(p) for p in payloads])
         enob = np.concatenate(
             [np.asarray(p["enob"], dtype=float) for p in payloads])
         dnl = np.concatenate(
@@ -309,8 +340,8 @@ class ChainSignoffWorkload(ShardWorkload):
 
     def pass_counts(self, payload: Dict[str, Any]
                     ) -> Tuple[int, int]:
-        passed = payload["passed"]
-        return (sum(1 for ok in passed if ok), len(passed))
+        passed = _unpack_passed(payload)
+        return (int(np.count_nonzero(passed)), int(passed.size))
 
     def partial_statistics(self, payloads: List[Dict[str, Any]]
                            ) -> Dict[str, float]:

@@ -121,8 +121,18 @@ class TestPoison:
         poisoned = poison_payload(payload)
         assert len(poisoned["passed"]) == 2
 
+    def test_truncates_packed_string_when_no_list(self):
+        payload = {"start": 0, "stop": 16, "n_pass": 4,
+                   "passed": "0f00"}
+        poisoned = poison_payload(payload)
+        assert poisoned["passed"] == "0f"   # one byte shorter
+        assert poisoned["n_pass"] == 4
+        assert payload["passed"] == "0f00"
+
     def test_unpoisonable_payload_is_typed(self):
         with pytest.raises(ModelDomainError):
             poison_payload({"n": 3})
+        with pytest.raises(ModelDomainError):
+            poison_payload({"n": 3, "passed": "", "items": []})
         with pytest.raises(ModelDomainError):
             poison_payload([1.0])

@@ -7,6 +7,9 @@ injects crashes, hangs and poisoned payloads, runs resumed from a
 checkpoint, and runs served from the shard cache.
 """
 
+import pickle
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -14,10 +17,11 @@ from repro.digital.generators import ripple_adder
 from repro.digital.ssta import StatisticalTimingAnalyzer
 from repro.exec import (ChainSignoffWorkload, ChaosPlan, ChaosSpec,
                         ExecResult, PartialResult, RetryPolicy,
-                        SstaWorkload, YIELD_METRICS, YieldWorkload,
-                        run_sharded)
+                        ShardWorkload, SstaWorkload, YIELD_METRICS,
+                        YieldWorkload, run_sharded)
 from repro.perf import clear_caches
-from repro.robust import ExecBudgetError, ModelDomainError
+from repro.robust import (ExecBudgetError, ModelDomainError,
+                          PoisonedResultError)
 from repro.technology import get_node
 from repro.variability.statistical import (MonteCarloSampler,
                                            monte_carlo_yield_batch)
@@ -45,6 +49,38 @@ def ssta_workload(n_samples=24):
 def chain_workload(n_dies=8):
     return ChainSignoffWorkload(node_name="65nm", n_dies=n_dies,
                                 seed=3)
+
+
+@dataclass(frozen=True)
+class BulkyWorkload(ShardWorkload):
+    """Each shard sends ~0.5 MB of floats: far more than the 64 KiB
+    a pipe buffers, so the worker blocks in ``send`` until the parent
+    reads."""
+
+    n_units: int = 4
+    floats_per_unit: int = 16_384
+
+    name = "bulky"
+
+    def n_total(self):
+        return self.n_units
+
+    def key(self):
+        return (self.n_units, self.floats_per_unit)
+
+    def run_shard(self, start, stop):
+        values = np.arange(start * self.floats_per_unit,
+                           stop * self.floats_per_unit) / 3.0
+        return {"start": start, "stop": stop,
+                "values": values.tolist()}
+
+    def validate_payload(self, payload, start, stop):
+        if len(payload["values"]) != (stop - start) \
+                * self.floats_per_unit:
+            raise PoisonedResultError("bulky payload length")
+
+    def merge(self, payloads):
+        return np.concatenate([p["values"] for p in payloads])
 
 
 class ScriptedChaos(ChaosPlan):
@@ -176,6 +212,19 @@ class TestProcessBackend:
         by_index = {o.index: o for o in result.outcomes}
         assert by_index[0].attempts == 2
         assert by_index[2].attempts == 2
+
+    def test_payload_above_pipe_buffer_completes(self):
+        """The parent drains the pipe before it reaps the worker, so
+        a large payload is not mistaken for a hang."""
+        workload = BulkyWorkload()
+        payload = workload.run_shard(0, 2)
+        assert len(pickle.dumps(payload)) > 64 * 1024
+        serial = run(workload, n_shards=2).value
+        result = run(workload, n_shards=2, backend="process",
+                     policy=RetryPolicy(max_retries=0, timeout_s=10.0))
+        assert isinstance(result, ExecResult)
+        assert all(o.attempts == 1 for o in result.outcomes)
+        assert np.array_equal(result.value, serial)
 
     def test_real_hang_is_terminated_at_timeout(self):
         workload = yield_workload(n_dies=12)

@@ -12,13 +12,14 @@ from repro.__main__ import main
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*argv):
+def run_cli(*argv, timeout=None):
     """Run ``python -m repro`` in a subprocess; the traceback-free
     exit contract must hold for real invocations, not just main()."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, "-m", "repro", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
 
 
 class TestCli:
@@ -226,6 +227,23 @@ class TestYieldCommand:
         assert main(["yield", "--dies", "40", "--shards", "4",
                      "--checkpoint", path, "--resume"]) == 0
         assert capsys.readouterr().out == first
+
+
+class TestProcessBackendCommands:
+    """``--backend process`` on commands whose shard payloads once
+    outgrew the 64 KiB pipe buffer and hung: they finish, with the
+    serial backend's exact output."""
+
+    @pytest.mark.parametrize("argv", [
+        ("yield", "--dies", "140000", "--shards", "2"),
+        ("soc-noise", "--shards", "2"),
+    ])
+    def test_large_shards_match_serial_subprocess(self, argv):
+        serial = run_cli(*argv, "--backend", "serial", timeout=120)
+        process = run_cli(*argv, "--backend", "process", timeout=120)
+        assert serial.returncode == 0, serial.stderr
+        assert process.returncode == 0, process.stderr
+        assert process.stdout == serial.stdout
 
 
 class TestBackendsCommand:
