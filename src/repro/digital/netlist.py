@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from ..technology.node import TechnologyNode
 from .gates import CELL_TYPES, Cell, make_cell
 from ..robust.errors import ModelDomainError
@@ -63,12 +61,10 @@ class Netlist:
         # instead of a scan over every instance).
         self._net_loads: Dict[str, List[str]] = {}
         self._counter = 0
-        self._graph_cache: Optional[nx.DiGraph] = None
         self._topo_cache: Optional[List[str]] = None
 
     def _invalidate_caches(self) -> None:
         """Drop derived structure after a mutation."""
-        self._graph_cache = None
         self._topo_cache = None
 
     # --- construction -----------------------------------------------------
@@ -169,42 +165,64 @@ class Netlist:
         """Number of gate instances."""
         return len(self.instances)
 
-    def to_graph(self) -> nx.DiGraph:
-        """Directed graph: instance -> instance edges through nets.
-
-        The graph is rebuilt only after a mutation; callers receive a
-        fresh copy each time so they may edit it freely.
-        """
-        if self._graph_cache is None:
-            graph = nx.DiGraph()
-            graph.add_nodes_from(self.instances)
-            for instance in self.instances.values():
-                for net in instance.inputs:
-                    driver = self._net_driver.get(net)
-                    if driver is not None:
-                        graph.add_edge(driver, instance.name, net=net)
-            self._graph_cache = graph
-        return nx.DiGraph(self._graph_cache)
-
     def topological_order(self) -> List[Instance]:
         """Instances in topological order (cached until mutation).
 
         Sequential cells break cycles: edges *out of* flip-flops are
         treated as new timing startpoints, so feedback through DFFs is
         legal.
+
+        The order is Kahn's algorithm run generation by generation
+        over the driver/loads index.  Generation 0 is every sequential
+        cell plus every gate with no driven input net, in insertion
+        order.  Generation k+1 is the combinational gates whose last
+        outstanding driver is in generation k, in the order they are
+        released: drivers in generation order, each driver's loads in
+        insertion order.  Every gate therefore sits in the earliest
+        generation its drivers allow, and the order depends only on
+        the construction sequence.  It sets the critical-path
+        tie-breaking of the timing analyzers and the gate axis of the
+        compiled timing graph.
         """
         if self._topo_cache is None:
-            cut = self.to_graph()
-            # Remove incoming edges of sequential cells to cut
-            # registered loops.
-            for name, instance in self.instances.items():
+            instances = self.instances
+            driver_of = self._net_driver
+            net_loads = self._net_loads
+            indegree: Dict[str, int] = {}
+            generation: List[str] = []
+            for name, instance in instances.items():
                 if instance.is_sequential:
-                    cut.remove_edges_from(list(cut.in_edges(name)))
-            try:
-                self._topo_cache = list(nx.topological_sort(cut))
-            except nx.NetworkXUnfeasible:
+                    generation.append(name)  # in-edges cut
+                    continue
+                # Each gate drives one net, so distinct driven input
+                # nets are distinct drivers.
+                n_drivers = 0
+                for net in set(instance.inputs):
+                    if net in driver_of:
+                        n_drivers += 1
+                if n_drivers:
+                    indegree[name] = n_drivers
+                else:
+                    generation.append(name)
+            order: List[str] = []
+            while generation:
+                order.extend(generation)
+                released: List[str] = []
+                for name in generation:
+                    for load in net_loads.get(instances[name].output, ()):
+                        remaining = indegree.get(load)
+                        if remaining is None:
+                            continue  # sequential load: edge is cut
+                        if remaining == 1:
+                            del indegree[load]
+                            released.append(load)
+                        else:
+                            indegree[load] = remaining - 1
+                generation = released
+            if indegree:
                 raise ModelDomainError(
-                    "netlist contains a combinational loop") from None
+                    "netlist contains a combinational loop")
+            self._topo_cache = order
         return [self.instances[name] for name in self._topo_cache]
 
     # --- evaluation -----------------------------------------------------------

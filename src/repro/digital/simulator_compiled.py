@@ -329,104 +329,126 @@ class CompiledEventEngine:
 
         dummy = n_nets            # always-False padding slot
         self._dummy = dummy
+        cell_names = [inst.cell.cell_type.name for inst in instances]
+        is_seq = np.array([inst.is_sequential for inst in instances],
+                          dtype=bool)
+        out_net = np.array([net_of[inst.output] for inst in instances],
+                           dtype=np.int64)
+        n_pins = np.array([len(inst.inputs) for inst in instances],
+                          dtype=np.int64)
+        pin_valid = np.arange(3) < n_pins[:, None]
         fanin = np.full((n_gates, 3), dummy, dtype=np.int64)
-        out_net = np.zeros(n_gates, dtype=np.int64)
-        tcode8 = np.zeros(n_gates, dtype=np.int64)
-        is_seq = np.zeros(n_gates, dtype=bool)
-        delays = np.zeros(n_gates, dtype=float)
+        fanin[pin_valid] = np.array(
+            [net_of[net] for inst in instances for net in inst.inputs],
+            dtype=np.int64)
+        self._fanin = fanin
+        self._out_net = out_net
+        self._tcode8 = np.array([type_code[name] * 8 for name in cell_names],
+                                dtype=np.int64)
 
-        # Delay / pin-cap memoization: identical (cell, drive, load)
-        # triples produce identical floats through the shared
-        # Cell.delay path, so repetitive SoCs compile in O(unique).
+        # (net, load gate, pin count) for every distinct input net of
+        # every gate, grouped by net with loads in insertion order --
+        # the order of the netlist's own fanout index (loads_of).  The
+        # padding slot never equals a real net, so padded pins neither
+        # count as loads nor add to a real pin's count.
+        same = fanin[:, :, None] == fanin[:, None, :]
+        first = pin_valid & ~(same & np.tri(3, k=-1, dtype=bool)).any(axis=2)
+        load_gate, load_pin = np.nonzero(first)
+        load_net = fanin[load_gate, load_pin]
+        by_net = np.argsort(load_net, kind="stable")
+        load_gate = load_gate[by_net]
+        load_net = load_net[by_net]
+        load_pins = same.sum(axis=2)[load_gate, load_pin[by_net]]
+
+        # Output load per gate: pin caps + wire estimate.  ufunc.at
+        # accumulates repeated indices one by one in index order, so
+        # each net's pin caps are added in load order starting from 0
+        # -- the order and start value of Netlist.fanout_capacitance,
+        # so the sum is bit-identical.
         cap_cache: Dict[Tuple[str, float], float] = {}
-        delay_cache: Dict[Tuple[str, float, float], float] = {}
-
-        def pin_cap(inst) -> float:
-            key = (inst.cell.cell_type.name, inst.cell.drive)
+        pin_caps: List[float] = []
+        for name, inst in zip(cell_names, instances):
+            key = (name, inst.cell.drive)
             cap = cap_cache.get(key)
             if cap is None:
                 cap = inst.cell.input_capacitance
                 cap_cache[key] = cap
-            return cap
+            pin_caps.append(cap)
+        pin_sum = np.zeros(n_nets, dtype=float)
+        np.add.at(pin_sum, load_net,
+                  np.array(pin_caps, dtype=float)[load_gate] * load_pins)
+        n_loads = np.bincount(load_net, minlength=n_nets)
+        load_cap = pin_sum[out_net] + self.wire_cap_per_fanout \
+            * np.maximum(n_loads[out_net], 1)
 
-        wire_cap = self.wire_cap_per_fanout
-        for g, inst in enumerate(instances):
-            out_net[g] = net_of[inst.output]
-            tcode8[g] = type_code[inst.cell.cell_type.name] * 8
-            is_seq[g] = inst.is_sequential
-            for pin, net in enumerate(inst.inputs):
-                fanin[g, pin] = net_of[net]
-            # Same accumulation order and start value as
-            # Netlist.fanout_capacitance, so the sum is bit-identical.
-            loads = netlist.loads_of(inst.output)
-            load_cap = sum(pin_cap(load) * load.inputs.count(inst.output)
-                           for load in loads) \
-                + wire_cap * max(len(loads), 1)
-            key = (inst.cell.cell_type.name, inst.cell.drive, load_cap)
+        # Delay memoization: identical (cell, drive, load) triples
+        # produce identical floats through the shared Cell.delay path,
+        # so repetitive SoCs compile in O(unique).
+        delay_cache: Dict[Tuple[str, float, float], float] = {}
+        delays: List[float] = []
+        for name, inst, cap in zip(cell_names, instances,
+                                   load_cap.tolist()):
+            key = (name, inst.cell.drive, cap)
             delay = delay_cache.get(key)
             if delay is None:
-                delay = inst.cell.delay(load_cap)
+                delay = inst.cell.delay(cap)
                 delay_cache[key] = delay
-            delays[g] = delay
-
-        self._fanin = fanin
-        self._out_net = out_net
-        self._tcode8 = tcode8
-        self._delays = delays
+            delays.append(delay)
+        self._delays = np.array(delays, dtype=float)
 
         # Combinational net -> loads CSR (sequential cells sample only
         # at the clock edge, exactly as the scalar loop skips them).
-        counts = np.zeros(n_nets, dtype=np.int64)
-        flat: List[int] = []
-        for k, net in enumerate(net_names):
-            comb = [gate_of[load.name] for load in netlist.loads_of(net)
-                    if not load.is_sequential]
-            counts[k] = len(comb)
-            flat.extend(comb)
-        self._csr_count = counts
-        self._csr_start = np.concatenate(
-            [[0], np.cumsum(counts)[:-1]]).astype(np.int64) \
-            if n_nets else np.zeros(0, dtype=np.int64)
-        self._csr_gates = np.array(flat, dtype=np.int64)
+        comb_load = ~is_seq[load_gate]
+        self._csr_count = np.bincount(load_net[comb_load],
+                                      minlength=n_nets)
+        self._csr_start = np.cumsum(self._csr_count) - self._csr_count
+        self._csr_gates = load_gate[comb_load]
 
         # Sequential cells in netlist insertion order (the scalar
         # simulator's sampling order).
         seq_idx = np.flatnonzero(is_seq)
         self._seq_gates = seq_idx
-        self._seq_data = np.array(
-            [net_of[instances[g].inputs[-1]] for g in seq_idx],
-            dtype=np.int64)
+        self._seq_data = fanin[seq_idx, n_pins[seq_idx] - 1]
         self._seq_out = out_net[seq_idx]
-        self._seq_delay = delays[seq_idx]
+        self._seq_delay = self._delays[seq_idx]
 
-        # Levelized combinational schedule for the initial settle
-        # (validates acyclicity exactly like the scalar settle does).
-        order = netlist.topological_order()
-        level_of: Dict[str, int] = {}
-        max_level = -1
-        for inst in order:
-            if inst.is_sequential:
+        # Levelized combinational schedule for the initial settle:
+        # a gate's level is one past its deepest combinational driver
+        # (0 if none), computed in topological order over gate
+        # indices.  topological_order() also rejects combinational
+        # loops exactly like the scalar settle does.  Gates sharing a
+        # level are independent and write distinct nets, so their
+        # order inside the level does not affect the settle.
+        # Sequential cells keep level -1 and sort out of the schedule.
+        comb_gates = np.flatnonzero(~is_seq)
+        comb_driver = np.full(n_nets + 1, -1, dtype=np.int64)
+        comb_driver[out_net[comb_gates]] = comb_gates
+        pin_driver = comb_driver[fanin].tolist()
+        seq_flags = is_seq.tolist()
+        level = [-1] * n_gates
+        for inst in netlist.topological_order():
+            g = gate_of[inst.name]
+            if seq_flags[g]:
                 continue
-            level = 0
-            for net in inst.inputs:
-                driver = netlist.driver_of(net)
-                if driver is not None and not driver.is_sequential:
-                    level = max(level, level_of[driver.name] + 1)
-            level_of[inst.name] = level
-            max_level = max(max_level, level)
+            lv = 0
+            for driver in pin_driver[g]:
+                if driver >= 0 and level[driver] >= lv:
+                    lv = level[driver] + 1
+            level[g] = lv
+        n_levels = max(level, default=-1) + 1
+        by_level = np.argsort(level, kind="stable")
+        bounds = np.searchsorted(np.array(level)[by_level],
+                                 np.arange(n_levels + 1))
         self._levels: List[np.ndarray] = [
-            np.array([gate_of[name] for name, lv in level_of.items()
-                      if lv == level], dtype=np.int64)
-            for level in range(max_level + 1)]
+            by_level[bounds[lv]:bounds[lv + 1]] for lv in range(n_levels)]
 
         # Nets that are neither driven nor primary inputs read as
         # False during the settle even if an initial state set them.
         self._primary_inputs = list(netlist.primary_inputs)
-        pi_set = set(self._primary_inputs)
-        self._floating = np.array(
-            [net_of[name] for name in net_names
-             if name not in pi_set and netlist.driver_of(name) is None],
-            dtype=np.int64)
+        floating = np.ones(n_nets, dtype=bool)
+        floating[out_net] = False
+        floating[[net_of[name] for name in self._primary_inputs]] = False
+        self._floating = np.flatnonzero(floating)
 
         # Wavefront conflict-signature cache: partition boundaries are
         # a pure function of the event net-index sequence (the loads

@@ -390,3 +390,40 @@ class TestPartitionCache:
         for signature in engine._partition_cache:
             assert len(signature) > np.dtype(np.int64).itemsize \
                 or engine._partition_cache[signature] != (1,)
+
+
+class TestLoweredTables:
+    """The lowered delay and loads tables equal the netlist's own
+    per-net queries, bit for bit, including multi-pin and high-fanout
+    loads."""
+
+    @staticmethod
+    def wide_fanout(node):
+        netlist = random_logic(node, n_gates=120, n_inputs=3, seed=11,
+                               sequential_fraction=0.2)
+        hub = netlist.add_gate("BUF", ["in0"], "hub").output
+        for i in range(300):
+            netlist.add_gate("NAND2", [hub, hub] if i % 3 == 0
+                             else [hub, "in1"], f"w{i}")
+        netlist.add_gate("DFF", ["en", hub], "hub_q")
+        return netlist
+
+    @pytest.mark.parametrize("build", [
+        lambda node: soc_netlist(node, target_gates=1500, seed=4),
+        lambda node: fir_filter(node, n_taps=3),
+        lambda node: TestLoweredTables.wide_fanout(node),
+    ])
+    def test_tables_match_netlist_queries(self, node, build):
+        netlist = build(node)
+        engine = CompiledEventEngine(netlist, clock_period=1e-9,
+                                     wire_cap_per_fanout=0.7e-15)
+        gate_of = {name: g for g, name in enumerate(netlist.instances)}
+        for g, inst in enumerate(netlist.instances.values()):
+            load = netlist.fanout_capacitance(inst.output, 0.7e-15)
+            assert engine._delays[g] == inst.cell.delay(load)
+        for k, net in enumerate(engine._net_names):
+            start = engine._csr_start[k]
+            got = engine._csr_gates[start:start + engine._csr_count[k]]
+            assert got.tolist() == [gate_of[load.name] for load
+                                    in netlist.loads_of(net)
+                                    if not load.is_sequential]
